@@ -1,0 +1,5 @@
+"""Whole-retrieval benchmark for the IM-PIR reproduction.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see :mod:`perfbench.run`.
+"""
