@@ -42,12 +42,12 @@ smoke:
 	$(PYTHON) -m repro.bench.cli smoke --autoscale
 	$(PYTHON) -m repro.bench.cli smoke --slo
 
-## Wall-clock benchmark of the batched one-pass scan path against the
-## sequential per-query path on the reference backend (records/sec, batched
-## QPS, speedup, simulated p50/p99 latency, the shard-count x executor x
-## batch crossover sweep with ScanTuner verdicts, and the host hardware
-## context); archives the run to benchmarks/history/BENCH_<git-sha>.json —
-## its only artifact.  Compare two runs with
+## Wall-clock benchmark of one batched answer_many flush against B per-query
+## answer calls (batches of one) on the reference backend (records/sec,
+## batched QPS, speedup, simulated p50/p99 latency, the backend survey, the
+## simulated DPU pipeline model, and the host hardware context); archives
+## the run to benchmarks/history/BENCH_<git-sha>.json, numbered with the next
+## archive seq — its only artifact.  Compare two runs with
 ## `python tools/bench_compare.py OLD.json NEW.json`, or the whole
 ## trajectory with `python tools/bench_compare.py benchmarks/history`.
 bench:

@@ -15,8 +15,8 @@ wall-clock :class:`~repro.pir.async_frontend.AsyncPIRFrontend` instead:
    arrival needed;
 3. the same request stream through the simulated-clock frontend returns
    bit-identical records (both frontends share one flush pipeline);
-4. the replicas are sharded fleets running the ``threads`` executor, so the
-   per-shard scans inside each replica overlap too.
+4. the replicas are sharded fleets; each scans its shards serially, and
+   the overlap is replica-level, through the frontend.
 
 Run:  python examples/async_frontend.py
 """
@@ -60,8 +60,7 @@ def make_client(database: Database, seed: int) -> PIRClient:
 
 def make_fleets(database: Database):
     return [
-        ShardedServer(database, server_id=i, num_shards=4, executor="threads")
-        for i in (0, 1)
+        ShardedServer(database, server_id=i, num_shards=4) for i in (0, 1)
     ]
 
 
@@ -71,7 +70,7 @@ def main() -> None:
     straggler = 512
     print(
         f"database: {database.num_records} records of {database.record_size} B, "
-        f"two sharded fleets (threads executor) behind an asyncio frontend\n"
+        f"two sharded fleets behind an asyncio frontend\n"
     )
 
     replicas = [RecordingReplica(fleet) for fleet in make_fleets(database)]

@@ -139,9 +139,9 @@ def main(argv=None) -> int:
         "--batched",
         dest="use_batched",
         action="store_true",
-        help="with the smoke target: answer the same batch through the "
-        "sequential per-query path and the batched execute_many path on "
-        "every backend, asserting bit-identical payloads and simulated costs",
+        help="with the smoke target: answer the same batch as B per-query "
+        "answer calls and as one answer_many flush on every backend, "
+        "asserting bit-identical payloads and simulated costs",
     )
     parser.add_argument(
         "--traced",

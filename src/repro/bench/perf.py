@@ -2,9 +2,10 @@
 
 The simulated cost models elsewhere in :mod:`repro.bench` answer "what would
 the paper's hardware do"; this module answers a different question: how fast
-does *this* repository actually run, and how much does the batched
-``execute_many`` path (one pass over the database for a whole batch, one PRG
-sweep per GGM level for every key) gain over the sequential per-query path.
+does *this* repository actually run, and how much does one batched
+``answer_many`` flush (one pass over the database for a whole batch, one PRG
+sweep per GGM level for every key) gain over ``B`` per-query ``answer``
+calls (``B`` batches of one through the same scan path).
 
 Two modes share one harness:
 
@@ -20,16 +21,12 @@ least noisy estimator on a shared machine); the p50/p99 latencies are
 *simulated* ones taken from the IM-PIR cluster schedule, so they are exactly
 reproducible run to run.
 
-Beyond the batched-vs-sequential headline, the artifact carries four more
+Beyond the batched-vs-sequential headline, the artifact carries three more
 sections:
 
 * ``backend_survey`` — wall-clock records/sec (and records/sec per engaged
   host core) of the batched path on the reference, sharded and streamed
   backends, each correctness-gated against the reference payloads first;
-* ``crossover_sweep`` — wall-clock records/sec of the sharded backend's raw
-  ``execute_many`` across shard count x executor x batch size, plus the
-  :class:`~repro.shard.tuner.ScanTuner` calibration rows, so the trajectory
-  records where the serial-vs-threads crossover sits on this machine;
 * ``dpu_pipeline`` — the *simulated* DPU pipeline cost model per PIM backend
   kind, built from :class:`~repro.pim.timing.PIMTimingModel`: broadcast +
   launch + dpXOR kernel + gather + host fold per query, reported as
@@ -42,6 +39,7 @@ sections:
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import subprocess
@@ -56,14 +54,13 @@ from repro.pim.config import scaled_down_config
 from repro.pim.timing import PIMTimingModel
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
-from repro.shard.tuner import ScanTuner
 
 #: Where ``make bench`` archives each run's artifact (one file per tag, so
 #: the perf trajectory across commits accumulates instead of overwriting).
 DEFAULT_HISTORY_DIR = "benchmarks/history"
 
 #: Environment variables that cap BLAS/OpenMP thread pools — recorded in the
-#: artifact because they change what "threads vs serial" means on a machine.
+#: artifact because they change what a wall-clock number means on a machine.
 THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -81,31 +78,17 @@ QUICK_SHAPE = {"num_records": 1024, "record_size": 32, "batch_size": 16, "repeat
 
 #: The wall-clock backend survey: every entry names a registered backend
 #: kind, the kwargs to build it with, and the number of host cores its
-#: batched path engages (the denominator of records/sec/core — the sharded
-#: backend fans its children out on a thread pool, the others are
-#: single-core by construction).
+#: batched path engages (the denominator of records/sec/core — every scan
+#: runs on the calling thread, so each is single-core).
 SURVEY_BACKENDS = (
     {"kind": "reference", "kwargs": {}, "cores": 1},
-    {
-        "kind": "sharded",
-        "kwargs": {"num_shards": 2, "executor": "threads"},
-        "cores": 2,
-    },
+    {"kind": "sharded", "kwargs": {"num_shards": 2}, "cores": 1},
     {"kind": "im-pir-streamed", "kwargs": {}, "cores": 1},
 )
 
 #: The simulated DPU pipeline survey: PIM backend kinds and the DPU counts
 #: their default registry configurations use (``scaled_down_config``).
 DPU_PIPELINE_KINDS = ({"kind": "im-pir", "num_dpus": 8}, {"kind": "im-pir-streamed", "num_dpus": 4})
-
-#: The crossover sweep's grid: shard counts and executors measured against
-#: each batch size.  Full mode sweeps every batch below; quick mode keeps a
-#: single batch so ``make check`` stays fast.
-CROSSOVER_SHARDS = (1, 2, 4)
-CROSSOVER_EXECUTORS = ("serial", "threads")
-CROSSOVER_BATCHES_FULL = (8, 32)
-CROSSOVER_BATCHES_QUICK = (16,)
-
 
 def hardware_context() -> Dict[str, object]:
     """The host context wall-clock numbers depend on (for artifact diffs)."""
@@ -161,13 +144,20 @@ def archive_metrics(
 
     The archived payload carries the tag, so a trajectory listing
     (``python tools/bench_compare.py <history_dir>``) can label each run
-    even after files are copied around.
+    even after files are copied around, and an integer ``seq`` one above
+    the highest already in the directory, so the listing runs in archive
+    order even where every file has the same mtime (a fresh checkout).
     """
     resolved = tag if tag is not None else bench_tag()
     os.makedirs(history_dir, exist_ok=True)
+    seq = 0
+    for existing in glob.glob(os.path.join(history_dir, "BENCH_*.json")):
+        with open(existing, "r", encoding="utf-8") as handle:
+            seq = max(seq, int(json.load(handle).get("seq", 0)))
     path = os.path.join(history_dir, f"BENCH_{resolved}.json")
     payload = dict(metrics)
     payload["tag"] = resolved
+    payload["seq"] = seq + 1
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -210,62 +200,6 @@ def backend_survey(
             }
         )
     return rows
-
-
-def crossover_sweep(
-    database: Database,
-    queries: Sequence[object],
-    batch_sizes: Sequence[int],
-    repeats: int,
-    tuner: Optional[ScanTuner] = None,
-) -> Dict[str, object]:
-    """Wall-clock records/sec of the sharded raw scan across the tuning grid.
-
-    Times :meth:`~repro.shard.backend.ShardedBackend.execute_many` directly
-    (selector matrix prepared up front) so the sweep isolates the scan the
-    serial-vs-threads decision is about — DPF evaluation and response
-    assembly are identical either way and would only dilute the crossover.
-    Alongside the grid, the sweep runs a :class:`~repro.shard.tuner.ScanTuner`
-    calibration at each batch size and reports its rows and verdicts, so the
-    archived artifact records the measured crossover, not just the raw grid.
-    """
-    from repro.common.events import PhaseTimer
-
-    tuner = tuner if tuner is not None else ScanTuner(repeats=repeats)
-    rows: List[Dict[str, object]] = []
-    for num_shards in CROSSOVER_SHARDS:
-        for executor in CROSSOVER_EXECUTORS:
-            engine = create_server(
-                "sharded",
-                database,
-                server_id=0,
-                num_shards=num_shards,
-                executor=executor,
-            ).engine
-            for batch_size in batch_sizes:
-                batch_queries = list(queries[:batch_size])
-                selectors = engine.selector_matrix(batch_queries)
-                lanes = [0] * len(batch_queries)
-
-                def scan() -> None:
-                    timers = [PhaseTimer() for _ in batch_queries]
-                    engine.backend.execute_many(selectors, timers, lanes)
-
-                seconds = _best_of(scan, repeats)
-                records_scanned = len(batch_queries) * database.num_records
-                rows.append(
-                    {
-                        "num_shards": num_shards,
-                        "executor": executor,
-                        "batch_size": len(batch_queries),
-                        "scan_seconds": seconds,
-                        "records_per_second": records_scanned / seconds,
-                    }
-                )
-            engine.backend.close()
-    for batch_size in batch_sizes:
-        tuner.choose(database.num_records, database.record_size, batch_size)
-    return {"grid": rows, "scan_tuner": tuner.crossover_rows()}
 
 
 def dpu_pipeline_model(
@@ -341,10 +275,7 @@ def run_bench(
     current git commit, recording the path under ``metrics["archived_to"]``).
 
     Quick mode additionally *asserts* the batched path is no slower than the
-    sequential one — that is its role as a ``make check`` smoke.  Full mode,
-    on a machine with at least two cores, asserts the tuned sharded-threads
-    scan beats the serial scan in records/sec at the bench shape (the
-    crossover the :class:`~repro.shard.tuner.ScanTuner` exists to find).
+    sequential one — that is its role as a ``make check`` smoke.
     """
     shape = QUICK_SHAPE if quick else FULL_SHAPE
     num_records = int(shape["num_records"])
@@ -378,13 +309,6 @@ def run_bench(
     schedule = impir.answer_many(queries).schedule
     latencies: List[float] = [query.latency for query in schedule.queries]
 
-    sweep = crossover_sweep(
-        database,
-        queries,
-        CROSSOVER_BATCHES_QUICK if quick else CROSSOVER_BATCHES_FULL,
-        repeats,
-    )
-
     metrics: Dict[str, object] = {
         "bench": "batched_scan",
         "mode": "quick" if quick else "full",
@@ -412,7 +336,6 @@ def run_bench(
         "backend_survey": backend_survey(
             database, queries, sequential_payloads, repeats
         ),
-        "crossover_sweep": sweep,
         "dpu_pipeline": dpu_pipeline_model(
             num_records, record_size, batch_size=batch_size
         ),
@@ -423,27 +346,6 @@ def run_bench(
             f"batched path is slower than sequential ({speedup:.2f}x); "
             "the one-pass scan should never lose to per-query dispatch"
         )
-
-    if not quick and (os.cpu_count() or 1) >= 2:
-        at_full_batch = [
-            row for row in sweep["grid"] if row["batch_size"] == batch_size
-        ]
-        best_threads = max(
-            row["records_per_second"]
-            for row in at_full_batch
-            if row["executor"] == "threads" and row["num_shards"] > 1
-        )
-        best_serial = max(
-            row["records_per_second"]
-            for row in at_full_batch
-            if row["executor"] == "serial"
-        )
-        if not best_threads > best_serial:
-            raise AssertionError(
-                f"tuned sharded-threads scan did not beat serial at the bench "
-                f"shape on {os.cpu_count()} cores "
-                f"({best_threads:,.0f} vs {best_serial:,.0f} records/s)"
-            )
 
     if output_path is not None:
         with open(output_path, "w", encoding="utf-8") as handle:
@@ -488,28 +390,6 @@ def render_bench(metrics: Dict[str, object]) -> str:
             f"{row['records_per_second']:>14,.0f} "
             f"{row['records_per_second_per_core']:>15,.0f}"
         )
-    sweep = metrics.get("crossover_sweep")
-    if sweep:
-        hardware = metrics.get("hardware", {})
-        lines += [
-            "",
-            f"crossover sweep (raw sharded execute_many, wall clock, "
-            f"{hardware.get('cpu_count', '?')} cores):",
-            f"{'shards':>6} {'executor':>9} {'batch':>6} {'records/s':>14}",
-        ]
-        for row in sweep["grid"]:
-            lines.append(
-                f"{row['num_shards']:>6} {row['executor']:>9} "
-                f"{row['batch_size']:>6} {row['records_per_second']:>14,.0f}"
-            )
-        for calibration in sweep["scan_tuner"]:
-            lines.append(
-                f"tuner verdict at batch {calibration['batch']}: "
-                f"{calibration['executor']} "
-                f"(threads speedup {calibration['threads_speedup']:.2f}x, "
-                f"{calibration['num_workers']} workers, "
-                f"chunk {calibration['chunk_records']})"
-            )
     lines += [
         "",
         "DPU pipeline cost model (simulated, deterministic):",

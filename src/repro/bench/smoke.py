@@ -936,7 +936,7 @@ def async_backend_smoke(
     indices: Sequence[int] = (0, 7, 255, 511),
     seed: int = 9,
 ) -> str:
-    """The ``--async`` smoke: asyncio frontend over thread-parallel fleets.
+    """The ``--async`` smoke: asyncio frontend over sharded replica fleets.
 
     Exercises the wall-clock path end to end: concurrent submitters split
     into size batches, every flush fans out to both replica fleets at the
@@ -950,12 +950,10 @@ def async_backend_smoke(
     stream = indices + [indices[0]]
 
     def make_replicas():
-        # Sharded fleets with the thread executor, so per-shard scans overlap
-        # inside each replica while the frontend overlaps the replicas.
+        # Serial sharded fleets: the overlap is replica-level, the frontend
+        # dispatching both replicas' flushes concurrently.
         return [
-            create_server(
-                "sharded", database, server_id=i, num_shards=4, executor="threads"
-            )
+            create_server("sharded", database, server_id=i, num_shards=4)
             for i in (0, 1)
         ]
 
@@ -1001,7 +999,7 @@ def async_backend_smoke(
 
     return "\n".join(
         [
-            "Async frontend smoke: wall-clock batching over thread-parallel fleets",
+            "Async frontend smoke: wall-clock batching over sharded replica fleets",
             f"database: {num_records} records x {record_size} B, stream {stream}",
             "",
             f"records verified against the sync frontend: {len(got)}/{len(stream)}",
@@ -1023,33 +1021,26 @@ def batched_smoke(
 ) -> str:
     """The ``--batched`` smoke: one-pass batch scans against per-query answers.
 
-    For every registered backend — plus the sharded backend's ``threads``
-    executor, whose workers scan in parallel — this answers the same query
-    batch twice: once through the sequential :meth:`QueryEngine.answer` loop,
-    once through the batched :meth:`QueryEngine.answer_many` /
-    ``execute_many`` path.  It asserts the documented cost contract of the
-    batched fast path, per backend kind:
+    For every registered backend this answers the same query batch twice:
+    once as ``B`` calls of :meth:`QueryEngine.answer` (``B`` batches of one),
+    once as one :meth:`QueryEngine.answer_many` flush, both through the one
+    ``execute_many`` scan path.  It asserts the documented cost contract of
+    batching, per backend kind:
 
     * the answer payloads are bit-identical, everywhere;
     * on **host-side** backends every simulated phase except ``eval`` charges
-      exactly the same seconds, and the ``execute_many`` override agrees
-      byte-for-byte *and* phase-for-phase with the generic per-row fallback
-      (``eval`` legitimately differs: the batch path uses the backend's batch
-      cost model, the per-query path its latency model);
+      exactly the same seconds (``eval`` legitimately differs: the batch
+      path uses the backend's batch cost model, the per-query path its
+      latency model);
     * on the **PIM** backends (``im-pir``, ``im-pir-streamed``) the batched
       path pays its fixed per-dispatch charges — transfer latency, launch
       overhead, the streamed segment copy — once per batch instead of once
       per query: the phase set is unchanged, the host-side ``aggregate``
       charge stays exactly per-query, and every other phase's batch total is
-      strictly below the sequential total (see
+      strictly below the per-query total (see
       :func:`~repro.core.partitioning.run_dpu_pipeline_many` for the
       formula; scan work itself is never discounted).
     """
-    import numpy as np
-
-    from repro.common.events import PhaseTimer
-    from repro.core.engine import PIRBackend
-
     pim_kinds = {"im-pir", "im-pir-streamed"}
 
     def amortizable(phases):
@@ -1077,7 +1068,7 @@ def batched_smoke(
             if not bat_total < seq_total:
                 raise AssertionError(
                     f"backend {label!r}: phase {phase!r} did not amortise "
-                    f"({bat_total} vs sequential {seq_total})"
+                    f"({bat_total} vs per-query {seq_total})"
                 )
 
     database = Database.random(num_records, record_size, seed=seed)
@@ -1086,19 +1077,15 @@ def batched_smoke(
         client.query((i * 97) % num_records)[0] for i in range(batch_size)
     ]
 
-    variants: List[tuple] = []
-    for name in available_backends():
-        kwargs = {"segment_records": segment_records} if name == "im-pir-streamed" else {}
-        variants.append((name, name, kwargs))
-    variants.append(("sharded/threads", "sharded", {"executor": "threads"}))
-
+    names = available_backends()
     lines: List[str] = [
-        "Batched smoke: execute_many against the sequential per-query path",
+        "Batched smoke: answer_many against B per-query answer calls",
         f"database: {num_records} records x {record_size} B, batch of {batch_size}",
         "",
-        f"{'backend':>16} {'payloads':>9} {'phases':>10} {'fallback':>10}",
+        f"{'backend':>16} {'payloads':>9} {'phases':>10}",
     ]
-    for label, name, kwargs in variants:
+    for name in names:
+        kwargs = {"segment_records": segment_records} if name == "im-pir-streamed" else {}
         engine = create_server(name, database, server_id=0, **kwargs).engine
         is_pim = name in pim_kinds
 
@@ -1108,10 +1095,10 @@ def batched_smoke(
             s.answer.payload != b.answer.payload
             for s, b in zip(sequential, batched.results)
         ):
-            raise AssertionError(f"backend {label!r}: batched payloads drifted")
+            raise AssertionError(f"backend {name!r}: batched payloads drifted")
         if is_pim:
             check_amortized(
-                label,
+                name,
                 [s.breakdown for s in sequential],
                 [b.breakdown for b in batched.results],
             )
@@ -1119,37 +1106,15 @@ def batched_smoke(
             for s, b in zip(sequential, batched.results):
                 if non_eval(s.breakdown) != non_eval(b.breakdown):
                     raise AssertionError(
-                        f"backend {label!r}: batched simulated phases drifted: "
+                        f"backend {name!r}: batched simulated phases drifted: "
                         f"{non_eval(s.breakdown)} vs {non_eval(b.breakdown)}"
                     )
-
-        selectors = engine.selector_matrix(queries)
-        lanes = [0] * batch_size
-        override_timers = [PhaseTimer() for _ in queries]
-        fallback_timers = [PhaseTimer() for _ in queries]
-        got = engine.backend.execute_many(selectors, override_timers, lanes)
-        want = PIRBackend.execute_many(
-            engine.backend, selectors, fallback_timers, lanes
-        )
-        if not np.array_equal(got, want):
-            raise AssertionError(
-                f"backend {label!r}: execute_many override drifted from fallback"
-            )
-        if is_pim:
-            check_amortized(label, fallback_timers, override_timers)
-        elif any(
-            a.durations != b.durations
-            for a, b in zip(override_timers, fallback_timers)
-        ):
-            raise AssertionError(
-                f"backend {label!r}: execute_many override charges different phases"
-            )
         verdict = "amortized" if is_pim else "equal"
-        lines.append(f"{label:>16} {'ok':>9} {verdict:>10} {'ok':>10}")
+        lines.append(f"{name:>16} {'ok':>9} {verdict:>10}")
 
     lines.append("")
     lines.append(
-        f"{len(variants)} backend variants answer batches bit-identically to "
+        f"{len(names)} backends answer batches bit-identically to "
         f"the per-query path (host-side costs unchanged; PIM per-dispatch "
         f"charges amortized once per batch)."
     )

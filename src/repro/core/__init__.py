@@ -16,8 +16,7 @@ from repro.core.partitioning import (
     DatabasePartitioner,
     PartitionLayout,
     fold_partials,
-    kwargs_for_kernel,
-    run_dpu_pipeline,
+    run_dpu_pipeline_many,
 )
 from repro.core.results import (
     ALL_PHASES,
@@ -52,8 +51,7 @@ __all__ = [
     "DatabasePartitioner",
     "PartitionLayout",
     "fold_partials",
-    "kwargs_for_kernel",
-    "run_dpu_pipeline",
+    "run_dpu_pipeline_many",
     "ALL_PHASES",
     "PHASE_AGGREGATE",
     "PHASE_COPY_IN",

@@ -11,8 +11,8 @@ database under a selector vector and charges simulated time to a
 
 Layering (bottom-up)::
 
-    PIRBackend        "where the dpXOR runs": prepare(db) + execute(selector)
-    QueryEngine       the protocol: validate -> eval key -> execute -> answer
+    PIRBackend        "where the dpXOR runs": prepare(db) + execute_many(selectors)
+    QueryEngine       the protocol: validate -> eval keys -> execute_many -> answer
     server facades    PIRServer / IMPIRServer / ... : public API + cost models
     PIRFrontend       request batching/routing across replicas (repro.pir.frontend)
 
@@ -42,7 +42,7 @@ from repro.dpf.dpf import DPF
 from repro.dpf.prf import LengthDoublingPRG
 from repro.pir.database import Database
 from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
-from repro.pir.xor_ops import dpxor, dpxor_many
+from repro.pir.xor_ops import dpxor_many
 
 Query = Union[DPFQuery, NaiveQuery]
 
@@ -101,49 +101,29 @@ class PIRBackend(ABC):
         """Capability/capacity metadata for this backend."""
 
     @abstractmethod
-    def execute(
-        self, selector_bits: np.ndarray, breakdown: PhaseTimer, lane: int = 0
-    ) -> np.ndarray:
-        """Scan the prepared database under ``selector_bits`` (the dpXOR).
-
-        Records the architecture's simulated phase costs into ``breakdown``
-        and returns the XOR sub-result as a uint8 array of ``record_size``
-        bytes.
-        """
-
     def execute_many(
         self,
         selector_matrix: np.ndarray,
         breakdowns: Sequence[PhaseTimer],
         lanes: Sequence[int],
     ) -> np.ndarray:
-        """Scan the prepared database under a whole batch of selector shares.
+        """Scan the prepared database under a batch of selector shares (the dpXOR).
 
         ``selector_matrix`` is ``(B, num_records)`` with one selector share
         per row; ``breakdowns`` and ``lanes`` carry one entry per row.
-        Returns the ``(B, record_size)`` uint8 matrix of sub-results.
+        Returns the ``(B, record_size)`` uint8 matrix of sub-results and
+        records each row's simulated phase costs into its breakdown.
 
-        This default serves the rows through :meth:`execute` one by one, so
-        every backend supports the batched surface; backends with a one-pass
-        batched kernel override it.  Overrides must stay bit-identical to the
-        sequential path.  Host-side backends also charge each row's breakdown
-        the same simulated costs (batching is a wall-clock optimisation
-        only); the PIM backends batch at kernel level, paying fixed
-        per-dispatch charges (transfer latency, launch overhead, streamed
-        segment copies) once per batch and splitting them evenly across the
-        rows — per-row kernel costs and scan bytes are never discounted (see
+        This is the only scan entry point: a single query is a batch of one.
+        Host-side backends charge every row the same simulated costs as a
+        batch of one (batching is a wall-clock optimisation only); the PIM
+        backends pay fixed per-dispatch charges (transfer latency, launch
+        overhead, streamed segment copies) once per batch and split them
+        evenly across the rows — per-row kernel costs and scan bytes are
+        never discounted (see
         :func:`repro.core.partitioning.run_dpu_pipeline_many` for the
         documented amortisation formula).
         """
-        rows = [
-            np.asarray(
-                self.execute(selector_matrix[position], breakdowns[position],
-                             lane=lanes[position]),
-                dtype=np.uint8,
-            ).reshape(-1)
-            for position in range(selector_matrix.shape[0])
-        ]
-        return np.stack(rows)
 
     # -- timing hooks (cost-model backends override; functional-only ones don't) --
 
@@ -246,18 +226,18 @@ class QueryEngine:
                 "query was generated for a database of "
                 f"{query.num_records} records, this replica holds {self.database.num_records}"
             )
+        if isinstance(query, DPFQuery):
+            # Bounded work per query: evaluation expands 2^domain_bits leaves,
+            # so only the client's own domain rule (pir/client.py) is served.
+            domain_bits = max(1, (self.database.num_records - 1).bit_length())
+            if query.key.domain_bits != domain_bits or query.key.output_bits != 1:
+                raise ProtocolError(
+                    f"DPF key has a {query.key.domain_bits}-bit domain and "
+                    f"{query.key.output_bits}-bit outputs; this replica serves "
+                    f"{domain_bits}-bit domains with 1-bit outputs"
+                )
 
     # -- selector generation (host-side DPF evaluation, Algorithm 1 step 2) -------
-
-    def selector_bits(self, query: Query) -> np.ndarray:
-        """Expand the query into the per-record selector-bit share."""
-        if isinstance(query, NaiveQuery):
-            # Already the right dtype (NaiveShare normalises to uint8): no copy.
-            return query.share.bits
-        dpf = self._dpf((query.key.domain_bits, query.key.output_bits))
-        eval_stats = getattr(self.stats, "eval", None)
-        values = dpf.eval_full(query.key, num_points=query.num_records, stats=eval_stats)
-        return values.astype(np.uint8, copy=False)
 
     def _dpf(self, params: Tuple[int, int]) -> DPF:
         """The cached DPF evaluator for ``(domain_bits, output_bits)``."""
@@ -323,18 +303,20 @@ class QueryEngine:
     # -- single-query path (latency mode) -----------------------------------------
 
     def answer(self, query: Query, lane: int = 0) -> IMPIRQueryResult:
-        """Answer one query on execution lane ``lane``."""
+        """Answer one query on execution lane ``lane``: a batch of one.
+
+        Served through the same :meth:`_scan` as :meth:`answer_many`, but
+        charged the backend's latency-mode eval cost (the whole host
+        evaluates one key) instead of its batch-mode one.
+        """
         self.validate(query)
         caps = self.backend.capabilities()
         if not 0 <= lane < caps.lanes:
             raise ProtocolError(f"lane {lane} out of range [0, {caps.lanes})")
         breakdown = PhaseTimer()
-        selector = self.selector_bits(query)
         eval_seconds = self.backend.latency_eval_seconds(query.num_records)
-        if eval_seconds > 0:
-            breakdown.record(PHASE_EVAL, eval_seconds)
-        payload = self.backend.execute(selector, breakdown, lane=lane)
-        result = self._assemble(query, payload, breakdown, lane)
+        payloads = self._scan([query], [breakdown], [lane], eval_seconds)
+        result = self._assemble(query, payloads[0], breakdown, lane)
         if self.events is not None:
             self.events.emit(
                 "engine.answer",
@@ -352,12 +334,9 @@ class QueryEngine:
 
         Queries run round-robin over the backend's lanes; the simulated
         makespan comes from the :class:`BatchScheduler` fed with each query's
-        measured stage durations.
-
-        The whole flush goes through the batched fast path: one
-        :meth:`selector_matrix` eval sweep and one
-        :meth:`PIRBackend.execute_many` scan serve every query, bit-identical
-        to (and charged exactly like) answering them one at a time.
+        measured stage durations.  The whole flush is one :meth:`_scan`:
+        one :meth:`selector_matrix` eval sweep and one
+        :meth:`PIRBackend.execute_many` scan serve every query.
         """
         if not queries:
             raise ProtocolError("answer_batch needs at least one query")
@@ -369,12 +348,7 @@ class QueryEngine:
 
         lanes = [position % max(1, caps.lanes) for position in range(len(queries))]
         breakdowns = [PhaseTimer() for _ in queries]
-        selectors = self.selector_matrix(queries)
-        if eval_seconds > 0:
-            for breakdown in breakdowns:
-                breakdown.record(PHASE_EVAL, eval_seconds)
-        payloads = self.backend.execute_many(selectors, breakdowns, lanes)
-        self._recycle_selector_matrix(selectors)
+        payloads = self._scan(queries, breakdowns, lanes, eval_seconds)
 
         results: List[IMPIRQueryResult] = []
         tasks: List[QueryTask] = []
@@ -400,6 +374,22 @@ class QueryEngine:
                 makespan=schedule.makespan,
             )
         return IMPIRBatchResult(results=results, schedule=schedule)
+
+    def _scan(
+        self,
+        queries: Sequence[Query],
+        breakdowns: Sequence[PhaseTimer],
+        lanes: Sequence[int],
+        eval_seconds: float,
+    ) -> np.ndarray:
+        """The one scan path: eval sweep, eval charge, one ``execute_many``."""
+        selectors = self.selector_matrix(queries)
+        if eval_seconds > 0:
+            for breakdown in breakdowns:
+                breakdown.record(PHASE_EVAL, eval_seconds)
+        payloads = self.backend.execute_many(selectors, breakdowns, lanes)
+        self._recycle_selector_matrix(selectors)
+        return payloads
 
     # -- answer assembly ------------------------------------------------------------
 
@@ -455,11 +445,6 @@ class ReferenceBackend(PIRBackend):
             description="full-domain scan in host DRAM (numpy)",
         )
 
-    def execute(
-        self, selector_bits: np.ndarray, breakdown: PhaseTimer, lane: int = 0
-    ) -> np.ndarray:
-        return dpxor(self._database.records, selector_bits, stats=self._dpxor_stats)
-
     def execute_many(
         self,
         selector_matrix: np.ndarray,
@@ -472,26 +457,17 @@ class ReferenceBackend(PIRBackend):
             self._database.records, selector_matrix, stats=self._dpxor_stats
         )
 
-    def scan_many_into(
-        self,
-        selector_matrix: np.ndarray,
-        out: np.ndarray,
-        chunk_records: Optional[int] = None,
-    ) -> np.ndarray:
+    def scan_many_into(self, selector_matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
         """One-pass batched scan straight into a caller-owned accumulator.
 
-        The sharded executors' hot path: a shard worker scans its column
-        block into its preallocated slab of the fleet-wide accumulator with
-        no per-query Python and no allocation in the worker (see
+        The sharded backend's hot path: a shard scans its column block into
+        its preallocated slab of the fleet-wide accumulator with no
+        per-query Python and no allocation (see
         ``ShardedBackend.execute_many``).  Stats are charged exactly like
         :meth:`execute_many`.
         """
         return dpxor_many(
-            self._database.records,
-            selector_matrix,
-            stats=self._dpxor_stats,
-            chunk_records=chunk_records,
-            out=out,
+            self._database.records, selector_matrix, stats=self._dpxor_stats, out=out
         )
 
 
@@ -596,8 +572,6 @@ def _ensure_default_backends() -> None:
             plan=kw.get("plan"),
             config=kw.get("config"),
             segment_records=kw.get("segment_records"),
-            executor=kw.get("executor", "serial"),
-            tuner=kw.get("tuner"),
             prg=kw.get("prg", make_prg("numpy")),
         ),
     )

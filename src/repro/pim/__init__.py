@@ -25,7 +25,7 @@ from repro.pim.kernels import (
     DB_BUFFER,
     RESULT_BUFFER,
     SELECTOR_BUFFER,
-    DpXorKernel,
+    DpXorManyKernel,
     MramFillKernel,
 )
 from repro.pim.module import PIMChip, PIMModule, PIMRank, build_topology
@@ -59,7 +59,7 @@ __all__ = [
     "DB_BUFFER",
     "RESULT_BUFFER",
     "SELECTOR_BUFFER",
-    "DpXorKernel",
+    "DpXorManyKernel",
     "MramFillKernel",
     "PIMChip",
     "PIMModule",

@@ -25,8 +25,6 @@ from repro.pir.server import PIRServer, ServerStats
 from repro.pir.xor_ops import (
     DpXorStats,
     dpxor,
-    dpxor_chunked,
-    dpxor_two_stage,
     inner_product_mod,
     xor_bytes,
     xor_fold,
@@ -61,8 +59,6 @@ __all__ = [
     "ServerStats",
     "DpXorStats",
     "dpxor",
-    "dpxor_chunked",
-    "dpxor_two_stage",
     "inner_product_mod",
     "xor_bytes",
     "xor_fold",

@@ -85,20 +85,25 @@ def deserialize_key(blob: bytes) -> DPFKey:
         raise ProtocolError(
             f"DPF key blob has {len(blob)} bytes, expected {expected} for {domain_bits} levels"
         )
-    corrections = []
-    for _ in range(domain_bits):
-        seed = blob[offset:offset + SEED_BYTES]
-        t_left, t_right = blob[offset + SEED_BYTES], blob[offset + SEED_BYTES + 1]
-        corrections.append(CorrectionWord(seed, t_left, t_right))
-        offset += per_level
-    return DPFKey(
-        party=party,
-        domain_bits=domain_bits,
-        root_seed=root_seed,
-        correction_words=tuple(corrections),
-        final_correction=final_correction,
-        output_bits=output_bits,
-    )
+    # Field checks live in the key types; a hostile blob must still surface
+    # as a protocol error, never as the types' own ValueError.
+    try:
+        corrections = []
+        for _ in range(domain_bits):
+            seed = blob[offset:offset + SEED_BYTES]
+            t_left, t_right = blob[offset + SEED_BYTES], blob[offset + SEED_BYTES + 1]
+            corrections.append(CorrectionWord(seed, t_left, t_right))
+            offset += per_level
+        return DPFKey(
+            party=party,
+            domain_bits=domain_bits,
+            root_seed=root_seed,
+            correction_words=tuple(corrections),
+            final_correction=final_correction,
+            output_bits=output_bits,
+        )
+    except ValueError as error:
+        raise ProtocolError(f"malformed DPF key: {error}") from error
 
 
 # ---------------------------------------------------------------------------

@@ -356,7 +356,6 @@ class TestEquivalenceWithSyncFrontend:
                     database,
                     server_id=i,
                     num_shards=3,
-                    executor="threads",
                     prg=make_prg("numpy"),
                 )
                 for i in (0, 1)

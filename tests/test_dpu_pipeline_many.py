@@ -1,7 +1,7 @@
 """``run_dpu_pipeline_many``: exact-value pins on the documented amortisation.
 
 ``test_batched_path.py`` checks the end-to-end consequence (batched PIM
-totals at or below sequential totals); this file pins the *formula* from the
+totals at or below per-query totals); this file pins the *formula* from the
 ``run_dpu_pipeline_many`` docstring against the timing model, phase by phase::
 
     copy_in  = transfer_latency + B * packed_selector_bytes / host_to_dpu_bw
@@ -11,8 +11,9 @@ totals at or below sequential totals); this file pins the *formula* from the
 
 — each charged exactly once per batch and split evenly across the ``B``
 breakdowns — plus bit-identity of the per-DPU partials against ``B``
-sequential :func:`run_dpu_pipeline` calls, including the edge shapes
-(batch of one, a single DPU, fewer records than DPUs).
+single-row dispatches (the per-query reference: a single query is a batch
+of one), including the edge shapes (batch of one, a single DPU, fewer
+records than DPUs).
 """
 
 import numpy as np
@@ -20,15 +21,11 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.events import PhaseTimer
-from repro.core.partitioning import (
-    DatabasePartitioner,
-    run_dpu_pipeline,
-    run_dpu_pipeline_many,
-)
+from repro.core.partitioning import DatabasePartitioner, run_dpu_pipeline_many
 from repro.core.results import PHASE_COPY_IN, PHASE_COPY_OUT, PHASE_DPXOR
 from repro.core.streaming import PHASE_COPY_DB
 from repro.pim.config import scaled_down_config
-from repro.pim.kernels import DB_BUFFER, DpXorKernel, DpXorManyKernel
+from repro.pim.kernels import DB_BUFFER, DpXorManyKernel
 from repro.pim.system import UPMEMSystem
 from repro.pim.timing import dpxor_kernel_cost
 
@@ -62,16 +59,14 @@ def _run_many(dpu_set, partitioner, layout, selectors, **kwargs):
 
 
 def _run_sequential(dpu_set, partitioner, layout, selectors, **kwargs):
+    """``B`` single-row dispatches: the per-query reference."""
     partials_per_row = []
     breakdowns = []
-    for row in selectors:
-        breakdown = PhaseTimer()
-        chunks = partitioner.selector_chunks(layout, row)
-        partials_per_row.append(
-            run_dpu_pipeline(
-                dpu_set, DpXorKernel(), layout, chunks, breakdown, **kwargs
-            )
+    for row in range(selectors.shape[0]):
+        blocks, (breakdown,) = _run_many(
+            dpu_set, partitioner, layout, selectors[row : row + 1], **kwargs
         )
+        partials_per_row.append(blocks)
         breakdowns.append(breakdown)
     return partials_per_row, breakdowns
 
@@ -177,13 +172,31 @@ class TestAmortizedFormula:
         assert dpxor_saving >= saved_launch - 1e-15
 
     def test_batch_of_one_matches_sequential_exactly(self):
+        # A batch of one pays every per-dispatch charge in full.
         dpu_set, partitioner, layout, _, selectors = _rig(
             self.NUM_RECORDS, self.RECORD_SIZE, 1, self.NUM_DPUS
         )
-        _, seq = _run_sequential(dpu_set, partitioner, layout, selectors)
-        _, bat = _run_many(dpu_set, partitioner, layout, selectors)
-        for phase in (PHASE_COPY_IN, PHASE_DPXOR, PHASE_COPY_OUT):
-            assert bat[0].get(phase) == pytest.approx(seq[0].get(phase))
+        _, (breakdown,) = _run_many(dpu_set, partitioner, layout, selectors)
+        timing = dpu_set.timing
+        assert breakdown.get(PHASE_COPY_IN) == pytest.approx(
+            timing.host_to_dpu_seconds(partitioner.packed_selector_bytes(layout))
+        )
+        assert breakdown.get(PHASE_COPY_OUT) == pytest.approx(
+            timing.dpu_to_host_seconds(self.RECORD_SIZE * self.NUM_DPUS)
+        )
+        kernel = max(
+            dpxor_kernel_cost(
+                dpu_set.dpus[dpu_index].config,
+                chunk_bytes=(stop - start) * self.RECORD_SIZE,
+                record_size=self.RECORD_SIZE,
+                selected_fraction=int(selectors[0, start:stop].sum()) / (stop - start),
+                tasklets=4,
+            ).total_seconds
+            for dpu_index, (start, stop) in enumerate(layout.bounds)
+        )
+        assert breakdown.get(PHASE_DPXOR) == pytest.approx(
+            timing.launch_seconds(self.NUM_DPUS) + kernel
+        )
 
 
 class TestStreamedDbCopy:

@@ -19,11 +19,12 @@ from repro.core.engine import (
     create_server,
     register_backend,
 )
+from repro.dpf.dpf import DPF
 from repro.dpf.prf import make_prg
 from repro.pim.config import scaled_down_config
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
-from repro.pir.messages import PIRAnswer
+from repro.pir.messages import DPFQuery, PIRAnswer
 
 
 def build_all_servers(database, server_id=0):
@@ -150,6 +151,29 @@ class TestSharedValidation:
                 server.engine.answer(client.query(0)[0], lane=99)
             with pytest.raises(ProtocolError, match=r"lane -1 out of range"):
                 server.engine.answer(client.query(0)[0], lane=-1)
+
+    @staticmethod
+    def _hostile_query(domain_bits, output_bits=1):
+        key = DPF(domain_bits, output_bits=output_bits, seed=8).gen(3, 1)[0]
+        return DPFQuery(query_id=0, server_id=0, key=key, num_records=128)
+
+    def test_oversized_dpf_domain_rejected_everywhere(self, servers):
+        """Bounded work per query: a 2^22-leaf key for a 128-record replica
+        must be refused before any expansion, not evaluated."""
+        hostile = self._hostile_query(domain_bits=22)
+        for name, server in servers.items():
+            with pytest.raises(ProtocolError, match="22-bit domain"):
+                server.engine.answer(hostile)
+            with pytest.raises(ProtocolError, match="22-bit domain"):
+                server.engine.answer_many([hostile])
+
+    def test_multi_bit_output_key_rejected_everywhere(self, servers):
+        hostile = self._hostile_query(domain_bits=7, output_bits=8)
+        for name, server in servers.items():
+            with pytest.raises(ProtocolError, match="8-bit outputs"):
+                server.engine.answer(hostile)
+            with pytest.raises(ProtocolError, match="8-bit outputs"):
+                server.engine.answer_many([hostile])
 
 
 class TestCapabilities:

@@ -68,7 +68,20 @@ class TestBenchArchive:
         path = archive_metrics({"a": 1}, str(history), tag="abc123")
         assert path == str(history / "BENCH_abc123.json")
         written = json.loads(Path(path).read_text())
-        assert written == {"a": 1, "tag": "abc123"}
+        assert written == {"a": 1, "tag": "abc123", "seq": 1}
+
+    def test_archive_metrics_numbers_runs_past_the_highest_seq(self, tmp_path):
+        history = tmp_path / "history"
+        archive_metrics({"a": 1}, str(history), tag="zzz")
+        archive_metrics({"a": 2}, str(history), tag="aaa")
+        # Re-archiving a tag replaces its file but still numbers it newest.
+        path = archive_metrics({"a": 3}, str(history), tag="zzz")
+        seqs = {
+            artifact.name: json.loads(artifact.read_text())["seq"]
+            for artifact in history.iterdir()
+        }
+        assert seqs == {"BENCH_aaa.json": 2, "BENCH_zzz.json": 3}
+        assert json.loads(Path(path).read_text())["a"] == 3
 
     def test_run_bench_archives_into_history_dir(self, tmp_path):
         history = tmp_path / "history"
@@ -116,6 +129,19 @@ class TestBenchTrajectory:
         loaded = compare.load_history(str(history))
         assert [label for label, _ in loaded] == ["new", "old"]
         assert loaded[0][1]["wall_clock.batched_qps"] == 900.0
+
+    def test_load_history_orders_by_seq_when_mtimes_are_equal(self, tmp_path):
+        # A fresh checkout gives every file one mtime; seq alone must order
+        # the runs oldest first, whatever their names sort to.
+        compare = _load_tool("bench_compare")
+        history = tmp_path / "history"
+        for seq, tag in enumerate(["zzz", "mmm", "aaa"], start=1):
+            archive_metrics({"wall_clock": {"batched_qps": float(seq)}}, str(history), tag=tag)
+        for artifact in history.iterdir():
+            os.utime(artifact, (1_000_000_000, 1_000_000_000))
+        loaded = compare.load_history(str(history))
+        assert [label for label, _ in loaded] == ["zzz", "mmm", "aaa"]
+        assert [flat["seq"] for _, flat in loaded] == [1.0, 2.0, 3.0]
 
     def test_render_trajectory_one_row_per_run(self, tmp_path):
         compare = _load_tool("bench_compare")
@@ -394,6 +420,62 @@ class TestPrintLint:
         assert not findings
 
 
+class TestSingleScanPathLint:
+    """``execute_many`` is the only scan entry point; ``dpxor`` is the oracle."""
+
+    def _check(self, tmp_path, relative, source):
+        lint = _load_tool("lint")
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+        return lint.check_file(path)
+
+    @pytest.mark.parametrize("package", ["core", "shard", "pim"])
+    def test_execute_method_flagged(self, tmp_path, package):
+        findings = self._check(
+            tmp_path,
+            f"src/repro/{package}/backend.py",
+            "class Backend:\n"
+            "    def execute(self, selector, breakdown, lane=0):\n"
+            "        return selector\n",
+        )
+        assert any("per-query execute()" in message for _, message in findings)
+
+    def test_execute_many_and_other_packages_are_legal(self, tmp_path):
+        source = (
+            "class Backend:\n"
+            "    def execute_many(self, selectors, breakdowns, lanes):\n"
+            "        return selectors\n"
+        )
+        assert not self._check(tmp_path, "src/repro/core/backend.py", source)
+        assert not self._check(
+            tmp_path,
+            "src/repro/control/plane.py",
+            "class Plane:\n    def execute(self):\n        pass\n",
+        )
+
+    @pytest.mark.parametrize(
+        "call", ["dpxor(db, selector)", "xor_ops.dpxor(db, selector)"]
+    )
+    def test_dpxor_call_flagged_outside_xor_ops(self, tmp_path, call):
+        findings = self._check(
+            tmp_path,
+            "src/repro/cpu/scan.py",
+            f"def scan(db, selector):\n    return {call}\n",
+        )
+        assert any("dpxor() oracle" in message for _, message in findings)
+
+    def test_dpxor_home_and_tests_may_call_it(self, tmp_path):
+        source = "def check(db, selector):\n    return dpxor(db, selector)\n"
+        assert not self._check(tmp_path, "src/repro/pir/xor_ops.py", source)
+        assert not self._check(tmp_path, "tests/test_scan.py", source)
+        assert not self._check(
+            tmp_path,
+            "src/repro/pir/server.py",
+            "def scan(db, selectors):\n    return dpxor_many(db, selectors)\n",
+        )
+
+
 class TestEventLoopClockLint:
     """``loop.time()`` is a wall clock in disguise; banned where clocks are injected."""
 
@@ -468,7 +550,8 @@ class TestBackendSurveyAndDpuModel:
             "sharded",
             "im-pir-streamed",
         ]
-        assert survey[0]["cores"] == 1
+        # Every scan runs on the calling thread: one engaged core each.
+        assert [row["cores"] for row in survey] == [1, 1, 1]
         for row in survey:
             assert row["records_per_second"] > 0
             assert row["records_per_second_per_core"] == pytest.approx(
@@ -494,6 +577,11 @@ class TestBackendSurveyAndDpuModel:
                 sum(row["stages"].values())
             )
 
+        hardware = metrics["hardware"]
+        assert hardware["cpu_count"] >= 1
+        assert hardware["numpy_version"]
+        assert isinstance(hardware["thread_env"], dict)
+
         text = render_bench(metrics)
         assert "backend survey" in text
         assert "DPU pipeline cost model" in text
@@ -513,36 +601,3 @@ class TestBackendSurveyAndDpuModel:
             )
             assert batched["per_query_seconds"] > floor
             assert batched["amortized_speedup"] > 1.0
-
-
-class TestCrossoverSweep:
-    def test_quick_metrics_include_sweep_and_hardware(self):
-        metrics = run_bench(quick=True, output_path=None)
-
-        hardware = metrics["hardware"]
-        assert hardware["cpu_count"] >= 1
-        assert hardware["numpy_version"]
-        assert isinstance(hardware["thread_env"], dict)
-
-        sweep = metrics["crossover_sweep"]
-        grid = sweep["grid"]
-        seen = {(row["num_shards"], row["executor"]) for row in grid}
-        assert seen == {
-            (shards, executor)
-            for shards in (1, 2, 4)
-            for executor in ("serial", "threads")
-        }
-        for row in grid:
-            assert row["scan_seconds"] > 0
-            assert row["records_per_second"] > 0
-
-        calibrations = sweep["scan_tuner"]
-        assert calibrations, "the sweep must record at least one calibration"
-        for calibration in calibrations:
-            assert calibration["executor"] in ("serial", "threads")
-            assert calibration["num_workers"] >= 2
-            assert calibration["threads_speedup"] > 0
-
-        text = render_bench(metrics)
-        assert "crossover sweep" in text
-        assert "tuner verdict" in text

@@ -143,3 +143,65 @@ class TestEndToEndOverTheWire:
         upload, download = wire_sizes(query, answer)
         assert upload > download
         assert download == len(serialize_answer(answer))
+
+
+def _valid_blobs():
+    dpf_query = DPFQuery(
+        query_id=7, server_id=1, key=DPF(domain_bits=6, seed=3).gen(40, 1)[1], num_records=40
+    )
+    bits = np.random.default_rng(4).integers(0, 2, 37, dtype=np.uint8)
+    naive_query = NaiveQuery(
+        query_id=8, server_id=0, share=NaiveShare(server_id=0, bits=bits), num_records=37
+    )
+    answer = PIRAnswer(query_id=9, server_id=1, payload=b"\x01" * 24, simulated_seconds=2e-6)
+    return [serialize_query(dpf_query), serialize_query(naive_query), serialize_answer(answer)]
+
+
+VALID_BLOBS = _valid_blobs()
+
+#: Arbitrary bytes, valid headers over arbitrary bodies, and valid messages
+#: truncated or with one bit flipped.
+_hostile_blobs = st.one_of(
+    st.binary(max_size=400),
+    st.tuples(st.sampled_from([b"DQ", b"NQ", b"PA", b"DK"]), st.binary(max_size=400)).map(
+        lambda parts: parts[0] + b"\x01" + parts[1]
+    ),
+    st.tuples(st.sampled_from(VALID_BLOBS), st.integers(min_value=0)).map(
+        lambda case: case[0][: case[1] % (len(case[0]) + 1)]
+    ),
+    st.tuples(st.sampled_from(VALID_BLOBS), st.integers(min_value=0)).map(
+        lambda case: _flip_bit(case[0], case[1] % (8 * len(case[0])))
+    ),
+)
+
+
+def _flip_bit(blob: bytes, bit: int) -> bytes:
+    flipped = bytearray(blob)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+class TestWireFuzz:
+    """Hostile bytes may only ever surface as :class:`ProtocolError`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(blob=_hostile_blobs)
+    def test_deserialize_query_raises_only_protocol_error(self, blob):
+        try:
+            deserialize_query(blob)
+        except ProtocolError:
+            pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(blob=_hostile_blobs)
+    def test_deserialize_answer_raises_only_protocol_error(self, blob):
+        try:
+            deserialize_answer(blob)
+        except ProtocolError:
+            pass
+
+    def test_valid_blobs_still_decode(self):
+        dpf_blob, naive_blob, answer_blob = VALID_BLOBS
+        assert isinstance(deserialize_query(dpf_blob), DPFQuery)
+        assert isinstance(deserialize_query(naive_blob), NaiveQuery)
+        assert deserialize_answer(answer_blob).payload == b"\x01" * 24

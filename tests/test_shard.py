@@ -92,11 +92,11 @@ class TestShardPlan:
         database = Database.random(37, 4, seed=5)
         plan = ShardPlan.uniform(37, 5)
         selector = np.arange(37, dtype=np.uint8)
-        slices = plan.split_selector(selector)
+        slices = plan.split_selector_many(selector[None, :])
         shards_db = plan.slice_database(database)
         assert len(slices) == len(shards_db) == len(plan.non_empty_shards)
-        reassembled = np.concatenate(slices)
-        assert np.array_equal(reassembled, selector)
+        reassembled = np.concatenate(slices, axis=1)
+        assert np.array_equal(reassembled[0], selector)
         for shard, shard_db in zip(plan.non_empty_shards, shards_db):
             assert shard_db.num_records == shard.num_records
 
@@ -109,7 +109,7 @@ class TestShardPlan:
             ShardPlan(num_records=10, shards=())
         with pytest.raises(ConfigurationError):
             plan = ShardPlan.uniform(10, 2)
-            plan.split_selector(np.zeros(9, dtype=np.uint8))
+            plan.split_selector_many(np.zeros((1, 9), dtype=np.uint8))
 
     def test_wrong_database_shape_rejected(self):
         plan = ShardPlan.uniform(10, 2)
@@ -251,7 +251,7 @@ class TestShardedCapabilitiesAndTiming:
         backend = ShardedBackend(bare_backend_factory("reference"), num_shards=2)
         assert backend.capabilities().name == "sharded"
         with pytest.raises(ProtocolError):
-            backend.execute(np.zeros(4, dtype=np.uint8), PhaseTimer())
+            backend.execute_many(np.zeros((1, 4), dtype=np.uint8), [PhaseTimer()], [0])
         with pytest.raises(ProtocolError):
             backend.apply_updates(Database.random(4, 4, seed=1), [0])
 
@@ -344,8 +344,8 @@ class _CountingBackend:
     def capabilities(self):
         return self._inner.capabilities()
 
-    def execute(self, selector_bits, breakdown, lane=0):
-        return self._inner.execute(selector_bits, breakdown, lane=lane)
+    def execute_many(self, selector_matrix, breakdowns, lanes):
+        return self._inner.execute_many(selector_matrix, breakdowns, lanes)
 
     def latency_eval_seconds(self, num_records):
         return self._inner.latency_eval_seconds(num_records)
@@ -514,167 +514,3 @@ class TestShardedRegistry:
         assert server.shard_for_record(0).index == 0
         assert server.shard_for_record(59).index == 3
         assert sum(server.shard_utilization().values()) == 60
-
-    def test_registry_builder_forwards_executor(self):
-        database = Database.random(32, 8, seed=23)
-        server = create_server("sharded", database, num_shards=2, executor="threads")
-        assert server.backend.executor == "threads"
-
-
-class TestShardExecutors:
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ConfigurationError, match="executor"):
-            ShardedBackend(bare_backend_factory("reference"), executor="processes")
-        with pytest.raises(ConfigurationError, match="executor"):
-            ShardedServer(
-                Database.random(8, 4, seed=1), executor="greenlets", prg=make_prg("numpy")
-            )
-
-    def test_threads_executor_is_bit_identical_with_identical_simulated_time(self):
-        """The executor changes wall-clock overlap only, never results/timers."""
-        database = Database.random(96, 16, seed=31)
-        serial = ShardedServer(
-            database, num_shards=3, child_kind="im-pir", prg=make_prg("numpy")
-        )
-        threaded = ShardedServer(
-            database,
-            num_shards=3,
-            child_kind="im-pir",
-            executor="threads",
-            prg=make_prg("numpy"),
-        )
-        client = make_client(database, seed=33)
-        for index in (0, 50, 95):
-            query = client.query(index)[0]
-            serial_result = serial.engine.answer(query)
-            threaded_result = threaded.engine.answer(query)
-            assert serial_result.answer.payload == threaded_result.answer.payload
-            assert (
-                serial_result.breakdown.durations == threaded_result.breakdown.durations
-            )
-
-    def test_threads_executor_overlaps_child_scans(self):
-        """Per-shard execute calls genuinely run at the same wall-clock time."""
-        import time
-
-        windows = []
-
-        def slow_factory(shard):
-            inner = bare_backend_factory("reference")(shard)
-
-            class _SlowChild:
-                def prepare(self, shard_db):
-                    return inner.prepare(shard_db)
-
-                def capabilities(self):
-                    return inner.capabilities()
-
-                def latency_eval_seconds(self, num_records):
-                    return 0.0
-
-                def batch_eval_seconds(self, num_records):
-                    return 0.0
-
-                def execute(self, selector_bits, breakdown, lane=0):
-                    start = time.monotonic()
-                    time.sleep(0.03)
-                    result = inner.execute(selector_bits, breakdown, lane=lane)
-                    windows.append((start, time.monotonic()))
-                    return result
-
-            return _SlowChild()
-
-        database = Database.random(64, 8, seed=35)
-        sharded = ShardedServer(
-            database,
-            num_shards=2,
-            child_factory=slow_factory,
-            executor="threads",
-            prg=make_prg("numpy"),
-        )
-        client = make_client(database, seed=37)
-        query = client.query(11)[0]
-        payload = sharded.engine.answer(query).answer.payload
-        reference = create_server("reference", database)
-        assert payload == reference.engine.answer(query).answer.payload
-        assert len(windows) == 2
-        (start_a, end_a), (start_b, end_b) = windows
-        assert max(start_a, start_b) < min(end_a, end_b)
-
-
-class _ClosableChild:
-    """Delegating child that records ``close`` calls."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.closed = 0
-
-    def close(self):
-        self.closed += 1
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-class TestClosePropagation:
-    """Every path that retires a child must release it — a long-lived fleet
-    reshapes for its whole life and must never leak scan pools."""
-
-    @staticmethod
-    def _tracked_factory(children):
-        inner = bare_backend_factory("reference")
-
-        def build(shard):
-            child = _ClosableChild(inner(shard))
-            children.append(child)
-            return child
-
-        return build
-
-    def test_close_closes_every_child_and_the_pool(self):
-        database = Database.random(64, 8, seed=21)
-        children = []
-        backend = ShardedBackend(
-            self._tracked_factory(children), num_shards=3, executor="threads"
-        )
-        backend.prepare(database)
-        assert backend._pool is not None
-        backend.close()
-        assert backend._pool is None
-        assert [child.closed for child in children] == [1, 1, 1]
-
-    def test_swap_child_closes_only_the_outgoing_member(self):
-        database = Database.random(64, 8, seed=22)
-        children = []
-        backend = ShardedBackend(self._tracked_factory(children), num_shards=2)
-        backend.prepare(database)
-        shard, _ = backend.members[1]
-        incoming = _ClosableChild(bare_backend_factory("reference")(shard))
-        backend.swap_child(shard.index, incoming)
-        assert [child.closed for child in children] == [0, 1]
-        assert incoming.closed == 0
-
-    def test_reshape_closes_replaced_children_and_keeps_reused(self):
-        database = Database.random(64, 8, seed=23)
-        children = []
-        backend = ShardedBackend(self._tracked_factory(children), num_shards=2)
-        backend.prepare(database)
-        first_generation = list(children)
-        backend.apply_topology(backend.plan.split_shard(0, 16))
-        # Shard 0 was replaced by its two halves; shard 1's range survived
-        # the reshape byte-for-byte, so its child is reused and stays open.
-        assert [child.closed for child in first_generation] == [1, 0]
-        new_children = [c for c in children if c not in first_generation]
-        assert len(new_children) == 2
-        assert all(child.closed == 0 for child in new_children)
-
-    def test_reprepare_closes_the_old_generation(self):
-        database = Database.random(64, 8, seed=24)
-        children = []
-        backend = ShardedBackend(self._tracked_factory(children), num_shards=2)
-        backend.prepare(database)
-        old_generation = list(children)
-        backend.prepare(database)
-        new_generation = [c for c in children if c not in old_generation]
-        assert [child.closed for child in old_generation] == [1, 1]
-        assert all(child.closed == 0 for child in new_generation)

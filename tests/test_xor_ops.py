@@ -1,4 +1,4 @@
-"""dpXOR kernels: reference, chunked and two-stage variants."""
+"""dpXOR kernels: the batched one-pass scan against the per-query oracle."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,7 @@ from repro.common.errors import DatabaseError
 from repro.pir.xor_ops import (
     DpXorStats,
     dpxor,
-    dpxor_chunked,
     dpxor_many,
-    dpxor_many_chunked,
-    dpxor_many_two_stage,
-    dpxor_two_stage,
     inner_product_mod,
     word_view,
     xor_bytes,
@@ -59,32 +55,6 @@ class TestDpxor:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DatabaseError):
             dpxor(np.zeros((4, 2), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
-
-
-class TestChunkedAndTwoStage:
-    @pytest.mark.parametrize("num_chunks", [1, 2, 3, 7, 200, 300])
-    def test_chunked_equals_reference(self, db_and_selector, num_chunks):
-        database, selector = db_and_selector
-        assert np.array_equal(
-            dpxor_chunked(database, selector, num_chunks), dpxor(database, selector)
-        )
-
-    @pytest.mark.parametrize("num_workers", [1, 2, 5, 16, 200, 250])
-    def test_two_stage_equals_reference(self, db_and_selector, num_workers):
-        database, selector = db_and_selector
-        assert np.array_equal(
-            dpxor_two_stage(database, selector, num_workers), dpxor(database, selector)
-        )
-
-    def test_chunked_rejects_zero_chunks(self, db_and_selector):
-        database, selector = db_and_selector
-        with pytest.raises(DatabaseError):
-            dpxor_chunked(database, selector, 0)
-
-    def test_two_stage_rejects_zero_workers(self, db_and_selector):
-        database, selector = db_and_selector
-        with pytest.raises(DatabaseError):
-            dpxor_two_stage(database, selector, 0)
 
 
 class TestXorFold:
@@ -151,16 +121,17 @@ class TestDpxorProperties:
     @given(
         num_records=st.integers(min_value=1, max_value=128),
         record_size=st.integers(min_value=1, max_value=40),
-        num_chunks=st.integers(min_value=1, max_value=16),
+        chunk_records=st.integers(min_value=1, max_value=16),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_chunking_invariance(self, num_records, record_size, num_chunks, seed):
+    def test_chunking_invariance(self, num_records, record_size, chunk_records, seed):
+        """The one-pass scan's record chunking never changes the result."""
         rng = np.random.default_rng(seed)
         database = rng.integers(0, 256, size=(num_records, record_size), dtype=np.uint8)
         selector = rng.integers(0, 2, size=num_records, dtype=np.uint8)
         reference = dpxor(database, selector)
-        assert np.array_equal(dpxor_chunked(database, selector, num_chunks), reference)
-        assert np.array_equal(dpxor_two_stage(database, selector, num_chunks), reference)
+        got = dpxor_many(database, selector[None, :], chunk_records=chunk_records)
+        assert np.array_equal(got[0], reference)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -225,33 +196,6 @@ class TestDpxorMany:
             dpxor_many(np.zeros((4, 2), dtype=np.uint8), np.zeros((3,), dtype=np.uint8))
         with pytest.raises(DatabaseError):
             dpxor_many(np.zeros((4, 2), dtype=np.uint8), np.zeros((2, 5), dtype=np.uint8))
-
-    @pytest.mark.parametrize("num_chunks", [1, 3, 7])
-    def test_chunked_variant(self, num_chunks):
-        # Bit-identical to the one-pass kernel; stats identical to running the
-        # *sequential chunked* kernel once per batch row (each chunk charges
-        # its own partial output, exactly as on real per-DPU hardware).
-        database, selectors = self._random_case(90, 24, 5, seed=26)
-        expected = dpxor_many(database, selectors)
-        stats = DpXorStats()
-        got = dpxor_many_chunked(database, selectors, num_chunks, stats=stats)
-        assert np.array_equal(got, expected)
-        baseline = DpXorStats()
-        for row in selectors:
-            dpxor_chunked(database, row, num_chunks, stats=baseline)
-        assert stats == baseline
-
-    @pytest.mark.parametrize("num_workers", [1, 2, 5, 16])
-    def test_two_stage_variant(self, num_workers):
-        database, selectors = self._random_case(90, 24, 5, seed=27)
-        expected = dpxor_many(database, selectors)
-        stats = DpXorStats()
-        got = dpxor_many_two_stage(database, selectors, num_workers, stats=stats)
-        assert np.array_equal(got, expected)
-        baseline = DpXorStats()
-        for row in selectors:
-            dpxor_two_stage(database, row, num_workers, stats=baseline)
-        assert stats == baseline
 
     @given(
         num_records=st.integers(min_value=1, max_value=80),

@@ -108,18 +108,19 @@ _HEADLINE: Tuple[Tuple[str, str, float], ...] = (
 def load_history(directory: str) -> List[Tuple[str, Dict[str, float]]]:
     """The ``BENCH_*.json`` artifacts in ``directory``, oldest first.
 
-    Ordered by file modification time (ties broken by name): archives are
-    written as runs happen, so mtime order is the run order.  Returns
-    ``(label, flattened metrics)`` pairs; unreadable files raise.
+    Ordered by each artifact's archive sequence number ``seq`` (written by
+    ``archive_metrics``), so the order survives a checkout that gives every
+    file the same mtime; artifacts without one sort first, by modification
+    time and then name.  Returns ``(label, flattened metrics)`` pairs;
+    unreadable files raise.
     """
-    paths = sorted(
-        glob.glob(os.path.join(directory, "BENCH_*.json")),
-        key=lambda path: (os.path.getmtime(path), path),
-    )
-    history = []
-    for path in paths:
+    runs = []
+    for path in glob.glob(os.path.join(directory, "BENCH_*.json")):
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
+        runs.append(((int(data.get("seq", 0)), os.path.getmtime(path), path), data))
+    history = []
+    for (_, _, path), data in sorted(runs, key=lambda run: run[0]):
         label = data.get("tag") or os.path.basename(path)
         history.append((str(label), flatten_numeric(data)))
     return history

@@ -38,6 +38,13 @@ AST pass instead.  It flags:
   ``src/repro/shard/`` and ``src/repro/pim/`` — the batched scan and kernel
   paths exist precisely so nothing walks a batch query by query in Python;
   as with the per-record rule, chunked ranges stay legal;
+* a ``def execute(`` method on any class under ``src/repro/core/``,
+  ``src/repro/shard/`` or ``src/repro/pim/`` — ``execute_many`` is the one
+  scan entry point (a single query is a batch of one), so a per-query twin
+  must not grow back;
+* any call of ``dpxor(`` under ``src/repro/`` outside ``pir/xor_ops.py`` —
+  the per-query ``dpxor`` is the oracle tests compare the batched scan
+  against, never a second production path;
 * bare ``print(`` anywhere under ``src/repro/`` — library code reports
   through the structured event log (:mod:`repro.obs.events`) or returns
   strings for the CLI layer to print; only the CLI entry points
@@ -154,6 +161,33 @@ def _is_vectorized_scan_only(path: Path) -> bool:
     )
 
 
+#: Packages whose backends and kernels expose ``execute_many`` only: a
+#: per-query ``execute`` method would be a second scan path beside it.
+SINGLE_SCAN_PATH_PACKAGES = ("core", "shard", "pim")
+
+
+def _is_single_scan_path(path: Path) -> bool:
+    parts = path.parts
+    return any(
+        parts[i] == "repro" and parts[i + 1] in SINGLE_SCAN_PATH_PACKAGES
+        for i in range(len(parts) - 1)
+    )
+
+
+def _is_dpxor_oracle_home(path: Path) -> bool:
+    """True for ``repro/pir/xor_ops.py``, the only module that may call ``dpxor``."""
+    return path.parts[-3:] == ("repro", "pir", "xor_ops.py")
+
+
+def _is_dpxor_call(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "dpxor") or (
+        isinstance(func, ast.Attribute) and func.attr == "dpxor"
+    )
+
+
 #: CLI entry-point modules: printing is their job, everywhere else in the
 #: library it bypasses the structured event log and pollutes stdout.
 PRINT_EXEMPT_BASENAMES = {"cli.py", "__main__.py"}
@@ -226,6 +260,8 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
     vectorized_scan_only = _is_vectorized_scan_only(path)
     batched_scan_only = _is_batched_scan_only(path)
     print_banned = _is_print_banned(path)
+    single_scan_path = _is_single_scan_path(path)
+    dpxor_banned = "repro" in path.parts and not _is_dpxor_oracle_home(path)
 
     imports: List[Tuple[int, str, str]] = []  # (lineno, bound name, description)
     wildcards: List[Tuple[int, str]] = []
@@ -313,6 +349,28 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                     "bare print() in library code (src/repro/) — emit through "
                     "repro.obs.events.EventLog or return strings for the CLI "
                     "layer to print",
+                )
+            )
+        if single_scan_path and isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (
+                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name == "execute"
+                ):
+                    deprecated.append(
+                        (
+                            item.lineno,
+                            f"per-query execute() method on {node.name} under a "
+                            "single-scan-path package (src/repro/{core,shard,pim}/) "
+                            "— serve a batch of one through execute_many",
+                        )
+                    )
+        if dpxor_banned and _is_dpxor_call(node):
+            deprecated.append(
+                (
+                    node.lineno,
+                    "call of the dpxor() oracle in library code outside "
+                    "pir/xor_ops.py — scan through dpxor_many",
                 )
             )
         if vectorized_scan_only and _is_per_record_loop(node):
